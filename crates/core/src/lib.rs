@@ -45,6 +45,8 @@ pub mod attack;
 pub mod container;
 pub mod embed;
 pub mod keys;
+#[cfg(test)]
+mod oracle;
 pub mod pipeline;
 pub mod pixel;
 pub mod reconstruct;

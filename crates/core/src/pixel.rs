@@ -7,7 +7,7 @@
 //! error source when the transform is known).
 
 use p3_jpeg::image::{GrayImage, RgbImage};
-use p3_vision::image::ImageF32;
+use p3_vision::image::{f32_to_u8, ImageF32};
 
 /// Split an interleaved RGB image into three float channels.
 pub fn rgb_to_channels(img: &RgbImage) -> [ImageF32; 3] {
@@ -24,16 +24,16 @@ pub fn rgb_to_channels(img: &RgbImage) -> [ImageF32; 3] {
 }
 
 /// Merge three float channels back into an interleaved RGB image
-/// (rounded and clamped).
+/// (rounded half away from zero and clamped, [`f32_to_u8`]).
 pub fn channels_to_rgb(ch: &[ImageF32; 3]) -> RgbImage {
     let w = ch[0].width;
     let h = ch[0].height;
     assert!(ch.iter().all(|c| c.width == w && c.height == h), "channel size mismatch");
     let mut img = RgbImage::new(w, h);
-    for i in 0..w * h {
-        img.data[i * 3] = ch[0].data[i].round().clamp(0.0, 255.0) as u8;
-        img.data[i * 3 + 1] = ch[1].data[i].round().clamp(0.0, 255.0) as u8;
-        img.data[i * 3 + 2] = ch[2].data[i].round().clamp(0.0, 255.0) as u8;
+    for (i, px) in img.data.chunks_exact_mut(3).enumerate() {
+        px[0] = f32_to_u8(ch[0].data[i]);
+        px[1] = f32_to_u8(ch[1].data[i]);
+        px[2] = f32_to_u8(ch[2].data[i]);
     }
     img
 }
@@ -91,6 +91,24 @@ mod tests {
         assert!((rgb_to_luma(&img).data[0] - 255.0).abs() < 0.5);
         img.set(0, 0, [0, 255, 0]);
         assert!((rgb_to_luma(&img).data[0] - 149.7).abs() < 1.0);
+    }
+
+    #[test]
+    fn channels_to_rgb_matches_oracle() {
+        // Every tie k + 0.5 in and around [0, 255], its neighbours, and
+        // out-of-range, signed-zero and NaN samples.
+        let mut probes = vec![0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -7.0, 1e6];
+        for k in -2..=257 {
+            let half = k as f32 + 0.5;
+            probes.extend([half, half.next_up(), half.next_down()]);
+        }
+        let n = probes.len();
+        let rot = |k: usize| -> ImageF32 {
+            let data = (0..n).map(|i| probes[(i + k) % n]).collect();
+            ImageF32::from_raw(n, 1, data).unwrap()
+        };
+        let ch = [rot(0), rot(1), rot(7)];
+        assert_eq!(channels_to_rgb(&ch).data, crate::oracle::channels_to_rgb(&ch).data);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 use p3_jpeg::block::CoeffImage;
 use p3_jpeg::dct::idct8x8;
 use p3_jpeg::image::RgbImage;
-use p3_vision::image::ImageF32;
+use p3_vision::image::{f32_to_u8, ImageF32};
 
-use crate::pixel::channels_to_rgb;
-use crate::split::{recombine_coeffs, secret_plus_correction};
-use crate::transform::TransformSpec;
+use crate::pixel::{channels_to_rgb, rgb_to_channels};
+use crate::split::{add_correction, recombine_coeffs};
+use crate::transform::{LinearRows, TransformSpec};
 use crate::{P3Error, Result};
 
 /// Exact coefficient-domain reconstruction (paper Eq. 1).
@@ -40,41 +40,112 @@ pub fn reconstruct_exact(public: &CoeffImage, secret: &CoeffImage, t: u16) -> Re
 /// this function materializes `xs + (Ss − Ss²)·w` in the pixel domain:
 /// no +128 level shift, no chroma offset, values may be negative.
 pub fn delta_rgb_channels(secret: &CoeffImage, t: u16) -> Result<[ImageF32; 3]> {
-    secret.validate()?;
-    let spc = secret_plus_correction(secret, t);
-    let planes = delta_planes(&spc)?;
-    match planes.len() {
+    let mut planes = DeltaRows::new(secret, t)?.into_planes();
+    Ok(match planes.len() {
         1 => {
-            let y = &planes[0];
-            Ok([y.clone(), y.clone(), y.clone()])
+            let y = planes.remove(0);
+            [y.clone(), y.clone(), y]
         }
-        3 => {
-            let dy = upsample_f32(&planes[0], secret.width, secret.height);
-            let dcb = upsample_f32(&planes[1], secret.width, secret.height);
-            let dcr = upsample_f32(&planes[2], secret.width, secret.height);
-            // Linear part of the JFIF YCbCr→RGB map (offsets cancel in
-            // deltas).
-            let n = secret.width * secret.height;
-            let mut r = ImageF32::new(secret.width, secret.height);
-            let mut g = ImageF32::new(secret.width, secret.height);
-            let mut b = ImageF32::new(secret.width, secret.height);
-            for i in 0..n {
-                let y = dy.data[i];
-                let cb = dcb.data[i];
-                let cr = dcr.data[i];
-                r.data[i] = y + 1.402 * cr;
-                g.data[i] = y - 0.344_136_3 * cb - 0.714_136_3 * cr;
-                b.data[i] = y + 1.772 * cb;
+        _ => [planes.remove(0), planes.remove(0), planes.remove(0)],
+    })
+}
+
+/// The delta of a secret part, produced one RGB row at a time. A
+/// grayscale secret has one plane (the same delta in R, G and B); a color
+/// one keeps its luma and chroma planes and upsamples and converts each
+/// row on request, so a transform that does nothing or starts with a
+/// resize needs no full-size RGB delta plane.
+struct DeltaRows {
+    width: usize,
+    height: usize,
+    kind: DeltaKind,
+}
+
+enum DeltaKind {
+    Gray(ImageF32),
+    Color(Box<ColorDelta>),
+}
+
+/// Luma and chroma delta planes plus the RGB row buffers they fill.
+struct ColorDelta {
+    y: Upsample,
+    cb: Upsample,
+    cr: Upsample,
+    rgb: [Vec<f32>; 3],
+}
+
+impl DeltaRows {
+    fn new(secret: &CoeffImage, t: u16) -> Result<Self> {
+        secret.validate()?;
+        let (width, height) = (secret.width, secret.height);
+        let mut planes = delta_planes(secret, t)?;
+        let kind = match planes.len() {
+            1 => DeltaKind::Gray(planes.remove(0)),
+            3 => DeltaKind::Color(Box::new(ColorDelta {
+                y: Upsample::new(planes.remove(0), width, height),
+                cb: Upsample::new(planes.remove(0), width, height),
+                cr: Upsample::new(planes.remove(0), width, height),
+                rgb: std::array::from_fn(|_| vec![0.0; width]),
+            })),
+            n => return Err(P3Error::Mismatch(format!("{n}-component secret part"))),
+        };
+        Ok(DeltaRows { width, height, kind })
+    }
+
+    /// Distinct channels: 1 (gray) or 3 (R, G, B).
+    fn channels(&self) -> usize {
+        match self.kind {
+            DeltaKind::Gray(_) => 1,
+            DeltaKind::Color(_) => 3,
+        }
+    }
+
+    /// Row `yy` of the R, G and B deltas.
+    fn row(&mut self, yy: usize) -> [&[f32]; 3] {
+        let w = self.width;
+        match &mut self.kind {
+            DeltaKind::Gray(plane) => {
+                let row = &plane.data[yy * w..(yy + 1) * w];
+                [row, row, row]
             }
-            Ok([r, g, b])
+            DeltaKind::Color(color) => {
+                let ColorDelta { y, cb, cr, rgb: [r, g, b] } = &mut **color;
+                let ycc = y.row(yy).iter().zip(cb.row(yy)).zip(cr.row(yy));
+                for (((ro, go), bo), ((&y, &cb), &cr)) in
+                    r.iter_mut().zip(g.iter_mut()).zip(b.iter_mut()).zip(ycc)
+                {
+                    // Linear part of the JFIF YCbCr→RGB map (offsets
+                    // cancel in deltas).
+                    *ro = y + 1.402 * cr;
+                    *go = y - 0.344_136_3 * cb - 0.714_136_3 * cr;
+                    *bo = y + 1.772 * cb;
+                }
+                [r, g, b]
+            }
         }
-        n => Err(P3Error::Mismatch(format!("{n}-component secret part"))),
+    }
+
+    /// The distinct channels as full planes.
+    fn into_planes(mut self) -> Vec<ImageF32> {
+        if let DeltaKind::Gray(plane) = self.kind {
+            return vec![plane];
+        }
+        let (w, h) = (self.width, self.height);
+        let mut planes: Vec<ImageF32> = (0..3).map(|_| ImageF32::new(w, h)).collect();
+        for yy in 0..h {
+            for (plane, row) in planes.iter_mut().zip(self.row(yy)) {
+                plane.data[yy * w..(yy + 1) * w].copy_from_slice(row);
+            }
+        }
+        planes
     }
 }
 
-/// Per-component signed delta planes (dequantize + IDCT, **no** level
-/// shift), cropped to real component dimensions.
-fn delta_planes(ci: &CoeffImage) -> Result<Vec<ImageF32>> {
+/// Per-component signed delta planes of the secret plus the correction
+/// term (dequantize + IDCT, **no** level shift), cropped to real
+/// component dimensions. Blocks wholly outside a component's real area
+/// are skipped: they never reach the plane.
+fn delta_planes(ci: &CoeffImage, t: u16) -> Result<Vec<ImageF32>> {
     let h_max = ci.h_max() as usize;
     let v_max = ci.v_max() as usize;
     let mut out = Vec::with_capacity(ci.components.len());
@@ -82,61 +153,123 @@ fn delta_planes(ci: &CoeffImage) -> Result<Vec<ImageF32>> {
         let qt = &ci.qtables[comp.quant_idx];
         let samp_w = (ci.width * comp.h_samp as usize).div_ceil(h_max);
         let samp_h = (ci.height * comp.v_samp as usize).div_ceil(v_max);
-        let full_w = comp.padded_w * 8;
-        let mut full = vec![0f32; full_w * comp.padded_h * 8];
-        for by in 0..comp.padded_h {
-            for bx in 0..comp.padded_w {
-                let deq = qt.dequantize(comp.block(bx, by));
-                let px = idct8x8(&deq);
-                for sy in 0..8 {
-                    let row = (by * 8 + sy) * full_w + bx * 8;
-                    full[row..row + 8].copy_from_slice(&px[sy * 8..sy * 8 + 8]);
-                }
-            }
+        if samp_w.div_ceil(8) > comp.padded_w || samp_h.div_ceil(8) > comp.padded_h {
+            return Err(P3Error::Mismatch(format!(
+                "component {} is {samp_w}x{samp_h} but has a {}x{} block grid",
+                comp.id, comp.padded_w, comp.padded_h
+            )));
         }
         let mut plane = ImageF32::new(samp_w, samp_h);
-        for y in 0..samp_h {
-            let src = y * full_w;
-            plane.data[y * samp_w..(y + 1) * samp_w].copy_from_slice(&full[src..src + samp_w]);
+        for by in 0..samp_h.div_ceil(8) {
+            let rows = (samp_h - by * 8).min(8);
+            for bx in 0..samp_w.div_ceil(8) {
+                let cols = (samp_w - bx * 8).min(8);
+                let mut block = *comp.block(bx, by);
+                add_correction(&mut block, t);
+                let px = idct8x8(&qt.dequantize(&block));
+                for sy in 0..rows {
+                    let dst = (by * 8 + sy) * samp_w + bx * 8;
+                    plane.data[dst..dst + cols].copy_from_slice(&px[sy * 8..sy * 8 + cols]);
+                }
+            }
         }
         out.push(plane);
     }
     Ok(out)
 }
 
-/// Bilinear upsample for signed float planes — the same center-aligned
-/// weights `p3-jpeg` uses for chroma, so public-part and delta decoding
-/// commute exactly in the identity case.
-fn upsample_f32(p: &ImageF32, width: usize, height: usize) -> ImageF32 {
-    if p.width == width && p.height == height {
-        return p.clone();
+/// One bilinear tap pair: edge-clamped source indices `(i0, i1)` and
+/// their weights `(1 − f, f)`.
+type Tap = (usize, usize, f32, f32);
+
+/// One axis of the bilinear upsample.
+fn bilinear_taps(src_len: usize, dst_len: usize) -> Vec<Tap> {
+    let scale = src_len as f32 / dst_len as f32;
+    let last = src_len as isize - 1;
+    (0..dst_len)
+        .map(|d| {
+            let f = (d as f32 + 0.5) * scale - 0.5;
+            let f0 = f.floor();
+            let w = f - f0;
+            let i0 = f0 as isize;
+            (i0.clamp(0, last) as usize, (i0 + 1).clamp(0, last) as usize, 1.0 - w, w)
+        })
+        .collect()
+}
+
+/// Bilinear upsample of a signed float plane, one output row at a time —
+/// the same center-aligned weights `p3-jpeg` uses for chroma, so
+/// public-part and delta decoding commute exactly in the identity case.
+/// The row and column taps are built once; a plane already at the
+/// target size is read in place.
+pub(crate) struct Upsample {
+    src: ImageF32,
+    /// Column and row taps, `None` when `src` is already full size.
+    taps: Option<(Vec<Tap>, Vec<Tap>)>,
+    buf: Vec<f32>,
+}
+
+impl Upsample {
+    pub(crate) fn new(src: ImageF32, width: usize, height: usize) -> Self {
+        if src.width == width && src.height == height {
+            return Upsample { src, taps: None, buf: Vec::new() };
+        }
+        let taps = (bilinear_taps(src.width, width), bilinear_taps(src.height, height));
+        Upsample { src, taps: Some(taps), buf: vec![0.0; width] }
     }
-    let mut out = ImageF32::new(width, height);
-    let sx = p.width as f32 / width as f32;
-    let sy = p.height as f32 / height as f32;
-    for y in 0..height {
-        let fy = (y as f32 + 0.5) * sy - 0.5;
-        let y0 = fy.floor();
-        let wy = fy - y0;
-        for x in 0..width {
-            let fx = (x as f32 + 0.5) * sx - 0.5;
-            let x0 = fx.floor();
-            let wx = fx - x0;
-            let p00 = p.get_clamped(x0 as isize, y0 as isize);
-            let p10 = p.get_clamped(x0 as isize + 1, y0 as isize);
-            let p01 = p.get_clamped(x0 as isize, y0 as isize + 1);
-            let p11 = p.get_clamped(x0 as isize + 1, y0 as isize + 1);
-            out.set(
-                x,
-                y,
-                p00 * (1.0 - wx) * (1.0 - wy)
-                    + p10 * wx * (1.0 - wy)
-                    + p01 * (1.0 - wx) * wy
-                    + p11 * wx * wy,
-            );
+
+    /// Output row `y`.
+    pub(crate) fn row(&mut self, y: usize) -> &[f32] {
+        let (src, w) = (&self.src.data, self.src.width);
+        let Some((cols, rows)) = &self.taps else {
+            return &src[y * w..(y + 1) * w];
+        };
+        let (y0, y1, ay, wy) = rows[y];
+        let r0 = &src[y0 * w..(y0 + 1) * w];
+        let r1 = &src[y1 * w..(y1 + 1) * w];
+        for (o, &(x0, x1, ax, wx)) in self.buf.iter_mut().zip(cols) {
+            *o = r0[x0] * ax * ay + r0[x1] * wx * ay + r1[x0] * ax * wy + r1[x1] * wx * wy;
+        }
+        &self.buf
+    }
+}
+
+/// The delta after the linear stages of a transform.
+enum Transformed {
+    /// Every linear stage is a no-op: the delta rows as produced.
+    Rows(DeltaRows),
+    /// One plane per distinct channel.
+    Planes(Vec<ImageF32>),
+}
+
+impl Transformed {
+    /// Apply the linear stages of `spec` (paper Eq. 2's `A`) to each
+    /// distinct delta channel.
+    fn new(mut delta: DeltaRows, spec: &TransformSpec) -> Self {
+        let (w, h) = (delta.width, delta.height);
+        if spec.linear_is_identity(w, h) {
+            return Transformed::Rows(delta);
+        }
+        let mut planes: Vec<LinearRows> =
+            (0..delta.channels()).map(|_| spec.linear_rows(w, h)).collect();
+        for y in 0..h {
+            for (plane, row) in planes.iter_mut().zip(delta.row(y)) {
+                plane.push_row(row);
+            }
+        }
+        Transformed::Planes(planes.into_iter().map(LinearRows::finish).collect())
+    }
+
+    /// Row `y` of the transformed R, G and B deltas.
+    fn row(&mut self, y: usize) -> [&[f32]; 3] {
+        match self {
+            Transformed::Rows(delta) => delta.row(y),
+            Transformed::Planes(planes) => std::array::from_fn(|c| {
+                let p = &planes[c.min(planes.len() - 1)];
+                &p.data[y * p.width..(y + 1) * p.width]
+            }),
         }
     }
-    out
 }
 
 /// Reconstruct an image whose public part was processed by `transform`
@@ -160,21 +293,42 @@ pub fn reconstruct_processed(
             processed_public.width, processed_public.height
         )));
     }
-    let delta = delta_rgb_channels(secret, t)?;
-    let transformed: Vec<ImageF32> = delta.iter().map(|ch| transform.apply_linear(ch)).collect();
-    let received = crate::pixel::rgb_to_channels(processed_public);
-
-    let mut out_ch: Vec<ImageF32> = Vec::with_capacity(3);
-    for (recv, dt) in received.iter().zip(transformed.iter()) {
-        if transform.is_linear() {
-            out_ch.push(recv.add(dt));
-        } else {
-            // Undo gamma, add the linear delta, re-apply gamma.
-            let lin = transform.invert_nonlinear(recv);
-            out_ch.push(transform.reapply_nonlinear(&lin.add(dt)));
+    let mut dt = Transformed::new(DeltaRows::new(secret, t)?, transform);
+    if let Transformed::Planes(planes) = &dt {
+        for p in planes {
+            assert_eq!((p.width, p.height), (ew, eh), "transformed delta size");
         }
     }
-    let out: [ImageF32; 3] = [out_ch.remove(0), out_ch.remove(0), out_ch.remove(0)];
+
+    if transform.is_linear() {
+        // Eq. 2 in one pass: received + delta, rounded straight to u8.
+        let mut out = RgbImage::new(ew, eh);
+        let stride = (3 * ew).max(1);
+        for (y, (orow, prow)) in out
+            .data
+            .chunks_exact_mut(stride)
+            .zip(processed_public.data.chunks_exact(stride))
+            .enumerate()
+        {
+            let d = dt.row(y);
+            for (x, (o, p)) in orow.chunks_exact_mut(3).zip(prow.chunks_exact(3)).enumerate() {
+                for c in 0..3 {
+                    o[c] = f32_to_u8(f32::from(p[c]) + d[c][x]);
+                }
+            }
+        }
+        return Ok(out);
+    }
+    // Undo gamma, add the linear delta, re-apply gamma.
+    let planes = match dt {
+        Transformed::Rows(delta) => delta.into_planes(),
+        Transformed::Planes(planes) => planes,
+    };
+    let received = rgb_to_channels(processed_public);
+    let out: [ImageF32; 3] = std::array::from_fn(|c| {
+        let lin = transform.invert_nonlinear(&received[c]);
+        transform.reapply_nonlinear(&lin.add(&planes[c.min(planes.len() - 1)]))
+    });
     Ok(channels_to_rgb(&out))
 }
 

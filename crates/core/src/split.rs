@@ -140,18 +140,24 @@ pub fn correction_coeffs(secret: &CoeffImage, t: u16) -> CoeffImage {
 /// recipient derives from the secret part for pixel-domain
 /// reconstruction.
 pub fn secret_plus_correction(secret: &CoeffImage, t: u16) -> CoeffImage {
-    let t = i32::from(t);
     let mut out = secret.clone();
     for comp in out.components.iter_mut() {
         for block in comp.blocks.iter_mut() {
-            for c in block.iter_mut().take(COEFS_PER_BLOCK).skip(1) {
-                if *c < 0 {
-                    *c -= 2 * t;
-                }
-            }
+            add_correction(block, t);
         }
     }
     out
+}
+
+/// Add the correction term to one block of secret coefficients in place
+/// (the per-block step of [`secret_plus_correction`]).
+pub(crate) fn add_correction(block: &mut [i32; COEFS_PER_BLOCK], t: u16) {
+    let t = i32::from(t);
+    for c in block.iter_mut().skip(1) {
+        if *c < 0 {
+            *c -= 2 * t;
+        }
+    }
 }
 
 #[cfg(test)]

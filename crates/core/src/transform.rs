@@ -10,7 +10,7 @@
 //! discussion of color remapping).
 
 use p3_vision::image::ImageF32;
-use p3_vision::resize::{crop, gamma_correct, resize, sharpen, ResizeFilter};
+use p3_vision::resize::{crop, gamma_correct, resize, sharpen, ResizeFilter, RowResize};
 
 /// A concrete server-side processing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,25 +54,59 @@ impl TransformSpec {
     /// Apply the full pipeline (including gamma) to one channel.
     pub fn apply(&self, ch: &ImageF32) -> ImageF32 {
         let g = self.apply_linear(ch);
-        gamma_correct(&g, self.gamma)
+        if self.is_linear() {
+            g
+        } else {
+            gamma_correct(&g, self.gamma)
+        }
     }
 
     /// Apply only the linear stages (crop → resize → sharpen). This is
     /// the `A` of paper Eq. 2 — what the recipient applies to the
-    /// secret + correction delta.
+    /// secret + correction delta. A no-op stage passes its input on
+    /// without a copy.
     pub fn apply_linear(&self, ch: &ImageF32) -> ImageF32 {
-        let mut img = ch.clone();
-        if let Some((x, y, w, h)) = self.crop {
-            img = crop(&img, x, y, w, h);
-        }
+        let mut img = self.crop.map(|(x, y, w, h)| crop(ch, x, y, w, h));
         if let Some((w, h)) = self.resize_to {
-            img = resize(&img, w, h, self.filter);
+            let src = img.as_ref().unwrap_or(ch);
+            if (w, h) != (src.width, src.height) {
+                img = Some(resize(src, w, h, self.filter));
+            }
         }
+        if let Some(sharp) = self.sharpen_stage(img.as_ref().unwrap_or(ch)) {
+            img = Some(sharp);
+        }
+        img.unwrap_or_else(|| ch.clone())
+    }
+
+    /// [`apply_linear`](Self::apply_linear) for a `w × h` channel fed one
+    /// row at a time. Without a crop, a resize to another size runs its
+    /// horizontal pass on each row as it arrives; any other spec gathers
+    /// the rows into a plane first.
+    pub fn linear_rows(&self, w: usize, h: usize) -> LinearRows {
+        let stage = match self.resize_to {
+            Some((rw, rh)) if self.crop.is_none() && (rw, rh) != (w, h) => {
+                RowStage::Resize(RowResize::new(w, h, rw, rh, self.filter))
+            }
+            _ => {
+                RowStage::Gather(ImageF32 { width: w, height: h, data: Vec::with_capacity(w * h) })
+            }
+        };
+        LinearRows { spec: *self, stage }
+    }
+
+    /// The sharpen stage, `None` when it is a no-op.
+    fn sharpen_stage(&self, img: &ImageF32) -> Option<ImageF32> {
         let (sigma, amount) = self.sharpen;
-        if amount != 0.0 {
-            img = sharpen(&img, sigma, amount);
-        }
-        img
+        (amount != 0.0).then(|| sharpen(img, sigma, amount))
+    }
+
+    /// True if the linear stages leave a `w × h` channel unchanged: no
+    /// crop, no resize to another size and no sharpening.
+    pub fn linear_is_identity(&self, w: usize, h: usize) -> bool {
+        self.crop.is_none()
+            && self.resize_to.is_none_or(|dims| dims == (w, h))
+            && self.sharpen.1 == 0.0
     }
 
     /// Invert the nonlinear tail (gamma) of the pipeline — used by the
@@ -108,6 +142,45 @@ impl TransformSpec {
     /// True if the whole pipeline is linear (gamma = 1).
     pub fn is_linear(&self) -> bool {
         (self.gamma - 1.0).abs() < 1e-6
+    }
+}
+
+/// The linear stages of a [`TransformSpec`] applied to one channel fed
+/// row by row, from [`TransformSpec::linear_rows`]. The output is
+/// bit-identical to [`TransformSpec::apply_linear`] of the same rows.
+pub struct LinearRows {
+    spec: TransformSpec,
+    stage: RowStage,
+}
+
+enum RowStage {
+    /// A leading resize, run on each row as it arrives.
+    Resize(RowResize),
+    /// The rows so far, for `apply_linear` once all have arrived.
+    Gather(ImageF32),
+}
+
+impl LinearRows {
+    /// Feed the next row, top to bottom.
+    pub fn push_row(&mut self, row: &[f32]) {
+        match &mut self.stage {
+            RowStage::Resize(resize) => resize.push_rows(row),
+            RowStage::Gather(img) => img.data.extend_from_slice(row),
+        }
+    }
+
+    /// The transformed channel, once every row has been fed.
+    pub fn finish(self) -> ImageF32 {
+        match self.stage {
+            RowStage::Resize(resize) => {
+                let img = resize.finish();
+                self.spec.sharpen_stage(&img).unwrap_or(img)
+            }
+            RowStage::Gather(img) => {
+                assert_eq!(img.data.len(), img.width * img.height, "rows fed");
+                self.spec.apply_linear(&img)
+            }
+        }
     }
 }
 
@@ -148,6 +221,36 @@ mod tests {
         let rhs = t.apply_linear(&a).add(&t.apply_linear(&b));
         for i in 0..lhs.data.len() {
             assert!((lhs.data[i] - rhs.data[i]).abs() < 1e-2, "at {i}");
+        }
+    }
+
+    #[test]
+    fn row_fed_linear_stages_match_apply_linear() {
+        let img = probe(37, 29, 7);
+        let specs = [
+            TransformSpec {
+                sharpen: (0.8, 0.5),
+                ..TransformSpec::resize(13, 31, ResizeFilter::Lanczos3)
+            },
+            TransformSpec::resize(37, 29, ResizeFilter::Mitchell),
+            TransformSpec {
+                crop: Some((3, 5, 20, 17)),
+                resize_to: Some((9, 8)),
+                ..TransformSpec::default()
+            },
+            TransformSpec { sharpen: (1.0, 0.7), ..TransformSpec::default() },
+        ];
+        for t in specs {
+            let mut rows = t.linear_rows(img.width, img.height);
+            for row in img.data.chunks_exact(img.width) {
+                rows.push_row(row);
+            }
+            let (got, want) = (rows.finish(), t.apply_linear(&img));
+            assert_eq!((got.width, got.height), (want.width, want.height), "{t:?}");
+            assert!(
+                got.data.iter().zip(&want.data).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{t:?}"
+            );
         }
     }
 

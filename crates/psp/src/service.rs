@@ -10,6 +10,7 @@ use p3_core::transform::TransformSpec;
 use p3_jpeg::encoder::encode_coeffs;
 use p3_jpeg::image::RgbImage;
 use p3_net::{Request, Response, Server, StatusCode};
+use p3_vision::image::ImageF32;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -44,10 +45,10 @@ struct StoredPhoto {
     /// The upload after marker stripping (what "full" serves if within
     /// the ladder cap).
     stripped: Vec<u8>,
-    /// Decoded pixels of the stored ceiling rendition, kept for dynamic
-    /// transforms.
-    ceiling_rgb: RgbImage,
-    /// Pre-built ladder renditions keyed by max side.
+    /// Pre-built ladder renditions keyed by max side. Dynamic transforms
+    /// decode the ceiling rendition (the first ladder entry) on request,
+    /// as a provider serving from its stored JPEGs would; no decoded
+    /// pixels are kept per photo.
     renditions: HashMap<usize, Vec<u8>>,
 }
 
@@ -76,9 +77,8 @@ impl PspCore {
         &self.profile
     }
 
-    /// Apply the hidden pipeline to pixels for a target max side.
-    fn transform_pixels(&self, rgb: &RgbImage, spec: &TransformSpec) -> RgbImage {
-        let ch = rgb_to_channels(rgb);
+    /// Apply the hidden pipeline to the float channels of an image.
+    fn transform_pixels(&self, ch: &[ImageF32; 3], spec: &TransformSpec) -> RgbImage {
         channels_to_rgb(&[spec.apply(&ch[0]), spec.apply(&ch[1]), spec.apply(&ch[2])])
     }
 
@@ -113,44 +113,51 @@ impl PspCore {
         let stripped =
             p3_jpeg::marker::strip_app_markers(body).map_err(|_| UploadError::NotJpeg)?;
         let rgb = p3_jpeg::decoder::coeffs_to_rgb(&coeffs).map_err(|_| UploadError::NotJpeg)?;
+        let (w, h) = (rgb.width, rgb.height);
+        let ch = rgb_to_channels(&rgb);
+        drop(rgb);
 
         // Build the static ladder with the hidden pipeline. The first
         // entry is the storage ceiling.
         let mut renditions = HashMap::new();
-        let mut ceiling_rgb = None;
         for &side in &self.profile.ladder {
-            let spec = self.profile.transform_to_side(rgb.width, rgb.height, side);
-            let out = self.transform_pixels(&rgb, &spec);
-            if ceiling_rgb.is_none() {
-                ceiling_rgb = Some(out.clone());
-            }
-            renditions.insert(side, self.encode(&out));
+            let spec = self.profile.transform_to_side(w, h, side);
+            renditions.insert(side, self.encode(&self.transform_pixels(&ch, &spec)));
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.photos.lock().insert(
-            id,
-            StoredPhoto { stripped, ceiling_rgb: ceiling_rgb.unwrap_or(rgb), renditions },
-        );
+        self.photos.lock().insert(id, StoredPhoto { stripped, renditions });
         Ok(id)
+    }
+
+    /// Decoded float channels of a stored photo's ceiling rendition (the
+    /// stored upload if the ladder is empty): the source of dynamic
+    /// transforms.
+    fn ceiling_channels(&self, id: u64) -> Option<[ImageF32; 3]> {
+        let jpeg = {
+            let photos = self.photos.lock();
+            let photo = photos.get(&id)?;
+            let ceiling = self.profile.ladder.first().and_then(|side| photo.renditions.get(side));
+            ceiling.unwrap_or(&photo.stripped).clone()
+        };
+        let rgb = p3_jpeg::decode_to_rgb(&jpeg).expect("stored renditions decode");
+        Some(rgb_to_channels(&rgb))
     }
 
     /// Fetch a rendition. `None` if the photo does not exist.
     pub fn fetch(&self, id: u64, req: SizeRequest) -> Option<Vec<u8>> {
-        let photos = self.photos.lock();
-        let photo = photos.get(&id)?;
         match req {
             SizeRequest::Full | SizeRequest::Big | SizeRequest::Small | SizeRequest::Thumb => {
                 let side = self.profile.ladder_side(req)?;
-                photo.renditions.get(&side).cloned()
+                self.photos.lock().get(&id)?.renditions.get(&side).cloned()
             }
             SizeRequest::Fit(w, h) => {
-                let src = &photo.ceiling_rgb;
+                let ch = self.ceiling_channels(id)?;
                 let max_side = usize::from(w.max(h)).max(1);
-                let spec = self.profile.transform_to_side(src.width, src.height, max_side);
-                Some(self.encode(&self.transform_pixels(src, &spec)))
+                let spec = self.profile.transform_to_side(ch[0].width, ch[0].height, max_side);
+                Some(self.encode(&self.transform_pixels(&ch, &spec)))
             }
             SizeRequest::Crop(x, y, w, h) => {
-                let src = &photo.ceiling_rgb;
+                let ch = self.ceiling_channels(id)?;
                 let spec = TransformSpec {
                     crop: Some((
                         usize::from(x),
@@ -158,12 +165,10 @@ impl PspCore {
                         usize::from(w).max(1),
                         usize::from(h).max(1),
                     )),
-                    resize_to: None,
                     filter: self.profile.filter,
-                    sharpen: (1.0, 0.0),
-                    gamma: 1.0,
+                    ..TransformSpec::identity()
                 };
-                Some(self.encode(&self.transform_pixels(src, &spec)))
+                Some(self.encode(&self.transform_pixels(&ch, &spec)))
             }
         }
     }
@@ -279,6 +284,145 @@ mod tests {
             }
         }
         p3_jpeg::Encoder::new().quality(90).encode_rgb(&img).unwrap()
+    }
+
+    /// SHA-256 of every ladder rendition `(profile, width, height, side,
+    /// digest)` of the photos in `ladder_bytes_match_pinned_digests`,
+    /// recorded from the per-sample `get_clamped` resize and convolution
+    /// loops that the tap-table row passes replaced. A kernel change that
+    /// moves one output bit changes a digest.
+    const LADDER_DIGESTS: [(&str, usize, usize, usize, &str); 14] = [
+        (
+            "facebook",
+            640,
+            480,
+            75,
+            "7a48652d64fe352fc1fd63a8c32b21aca1a7eb55f380f8f7b4801a2e7029c105",
+        ),
+        (
+            "facebook",
+            640,
+            480,
+            130,
+            "aadd3ab40e815a7b4d56488bf5070b62591ed99556f352024d8255915618ad8b",
+        ),
+        (
+            "facebook",
+            640,
+            480,
+            720,
+            "8ffb09f5af24a6dc9778723e295ba6cfdcd043426e1bac84d9ed62356ef09d0d",
+        ),
+        (
+            "flickr",
+            640,
+            480,
+            75,
+            "e349668d00f6d33a68f991b110e3b0147538299e6b7c18f13d010387f7ad53d5",
+        ),
+        (
+            "flickr",
+            640,
+            480,
+            240,
+            "5fc94deab73522ea067073c8748f6ce74e6e72486ff2699abe7a349e20be1942",
+        ),
+        (
+            "flickr",
+            640,
+            480,
+            500,
+            "44f9edf8a8e010f11901be11cdae3ad7dd7f808787a387b7d819caafdee180cb",
+        ),
+        (
+            "flickr",
+            640,
+            480,
+            1024,
+            "6d15a91b68ff99419628dec0b99228cc823711d942c17c5ee0aceb199baad199",
+        ),
+        (
+            "facebook",
+            1024,
+            768,
+            75,
+            "1be1c28df07a2305a8d64b34e89fd1abbe7118c292a74b84a22b261c674e4c0a",
+        ),
+        (
+            "facebook",
+            1024,
+            768,
+            130,
+            "2e09cf45016d63826d598e1c138cf07597f84fee5357a3116089df7d9a63d46f",
+        ),
+        (
+            "facebook",
+            1024,
+            768,
+            720,
+            "d47754cfc35e4fbe4c4869b7e91d4d57edf7fab5a570e201cbbd752dd4d47144",
+        ),
+        (
+            "flickr",
+            1024,
+            768,
+            75,
+            "fa2297ff6781cb602dbf53a2acc8937fa5ebeda9b78da7c6cfdab5762e26d2d2",
+        ),
+        (
+            "flickr",
+            1024,
+            768,
+            240,
+            "6600bf6df1571801285a91099e6dab2665b042350dc513aace2d40206b0612e6",
+        ),
+        (
+            "flickr",
+            1024,
+            768,
+            500,
+            "73a8917f00b5ddd762f7ea09602fb2c81bbb2a96b50617bd2c75b38b8464ee46",
+        ),
+        (
+            "flickr",
+            1024,
+            768,
+            1024,
+            "257c986b8bc36fab51d406e4b26f653b42fd9f882a09ec12bd51fad7776509e3",
+        ),
+    ];
+
+    #[test]
+    fn ladder_bytes_match_pinned_digests() {
+        // A P3 public part of a synthetic photo, at the two upload sizes
+        // the benchmark uses, through both stock profiles.
+        let codec =
+            p3_core::P3Codec::new(p3_core::P3Config { threshold: 15, ..Default::default() });
+        let mut checked = 0;
+        for (w, h) in [(640, 480), (1024, 768)] {
+            let photo = p3_datasets::synth::scene(3, w, h, &Default::default());
+            let jpeg = p3_jpeg::Encoder::new().quality(90).encode_rgb(&photo).unwrap();
+            let (public, _, _) = codec.split_jpeg(&jpeg).unwrap();
+            for profile in [PspProfile::facebook(), PspProfile::flickr()] {
+                let core = PspCore::new(profile);
+                let id = core.upload(&public).unwrap();
+                let photos = core.photos.lock();
+                let got = &photos[&id].renditions;
+                let name = core.profile().name;
+                let want: Vec<_> =
+                    LADDER_DIGESTS.iter().filter(|d| (d.0, d.1, d.2) == (name, w, h)).collect();
+                assert_eq!(got.len(), want.len(), "{name} {w}x{h} rungs");
+                for &&(_, _, _, side, digest) in &want {
+                    let hex: String = p3_crypto::sha256::sha256(&got[&side])
+                        .iter()
+                        .map(|b| format!("{b:02x}"))
+                        .collect();
+                    assert_eq!(hex, digest, "{name} {w}x{h} rung {side}");
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, LADDER_DIGESTS.len());
     }
 
     #[test]

@@ -6,6 +6,28 @@
 //! *fractional* pixel values, and rounding before the final add would be
 //! an extra error source (paper footnote 8).
 
+/// Round a sample half away from zero and clamp it to `[0, 255]`.
+///
+/// Exactly `v.round().clamp(0.0, 255.0) as u8`, with NaN mapping to 0,
+/// but with no libm `roundf` call (what `f32::round` becomes on baseline
+/// x86-64) and no saturating float→int cast, so loops over it vectorize.
+/// `(v + 0.5) as u8` is not a substitute: the add rounds `0.5 − 2⁻²⁵`
+/// up to 1.
+#[inline]
+pub fn f32_to_u8(v: f32) -> u8 {
+    /// 2^23: adding it to c in [0, 255] rounds c to the nearest
+    /// integer, ties to even, and leaves that integer in the low
+    /// mantissa bits.
+    const MAGIC: f32 = 8_388_608.0;
+    // `max` maps NaN to 0, where `clamp` would keep it. `c - r` below is
+    // exact, so a tie that rounded down to even shows as 0.5.
+    #[allow(clippy::manual_clamp)]
+    let c = v.max(0.0).min(255.0);
+    let m = c + MAGIC;
+    let r = m - MAGIC;
+    ((m.to_bits() & 0xff) + u32::from(c - r == 0.5)) as u8
+}
+
 /// Single-channel `f32` image, row-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImageF32 {
@@ -37,9 +59,9 @@ impl ImageF32 {
         })
     }
 
-    /// Clamp to `[0,255]` and round to 8-bit samples.
+    /// Clamp to `[0,255]` and round to 8-bit samples ([`f32_to_u8`]).
     pub fn to_u8(&self) -> Vec<u8> {
-        self.data.iter().map(|&v| v.round().clamp(0.0, 255.0) as u8).collect()
+        self.data.iter().map(|&v| f32_to_u8(v)).collect()
     }
 
     /// Pixel accessor.
@@ -122,6 +144,28 @@ mod tests {
     fn to_u8_clamps() {
         let img = ImageF32::from_raw(2, 1, vec![-5.0, 300.0]).unwrap();
         assert_eq!(img.to_u8(), vec![0, 255]);
+    }
+
+    #[test]
+    fn f32_to_u8_matches_round_clamp() {
+        let reference = |v: f32| v.round().clamp(0.0, 255.0) as u8;
+        let mut probes = vec![0.0, -0.0, f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        probes.extend([f32::MAX, f32::MIN, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-45, -1e-45]);
+        probes.extend([0.5 - 2f32.powi(-25), -1000.0, 1000.0, 255.49998, 255.5, 256.0, 1e9]);
+        for k in -2..=257 {
+            let half = k as f32 + 0.5;
+            probes.extend([half, half.next_up(), half.next_down(), k as f32]);
+            probes.extend([(k as f32).next_up(), (k as f32).next_down()]);
+        }
+        for v in probes {
+            assert_eq!(f32_to_u8(v), reference(v), "at {v:e} ({:#010x})", v.to_bits());
+        }
+        // A dense sweep over the whole useful range and a bit beyond.
+        let mut v = -3.0f32;
+        while v < 260.0 {
+            assert_eq!(f32_to_u8(v), reference(v), "at {v:e}");
+            v += 1.0 / 1024.0 + 1e-6;
+        }
     }
 
     #[test]

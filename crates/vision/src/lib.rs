@@ -29,6 +29,8 @@ pub mod facedetect;
 pub mod filter;
 pub mod image;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod resize;
 pub mod sift;
 

@@ -16,6 +16,7 @@
 //! linear; gamma correction is not, which is exactly why the paper's
 //! exhaustive search must try gamma candidates rather than commute them.
 
+use crate::filter::{pass_v, PassH, Taps};
 use crate::image::ImageF32;
 
 /// Resampling kernels, mirroring the common ImageMagick set.
@@ -119,13 +120,18 @@ fn lanczos(x: f32, a: f32) -> f32 {
     }
 }
 
-/// Precomputed sample weights for one output position.
-struct WeightRow {
-    start: isize,
-    weights: Vec<f32>,
+/// Per-output sample weights along one axis: output `d` reads source
+/// samples `start + k` (edge-clamped) with weight `weights[k]`.
+pub(crate) struct WeightRow {
+    pub(crate) start: isize,
+    pub(crate) weights: Vec<f32>,
 }
 
-fn build_weights(src_len: usize, dst_len: usize, filter: ResizeFilter) -> Vec<WeightRow> {
+pub(crate) fn build_weights(
+    src_len: usize,
+    dst_len: usize,
+    filter: ResizeFilter,
+) -> Vec<WeightRow> {
     let scale = src_len as f32 / dst_len as f32;
     // Widen the kernel when minifying so it acts as an antialias filter.
     let filter_scale = scale.max(1.0);
@@ -152,37 +158,66 @@ fn build_weights(src_len: usize, dst_len: usize, filter: ResizeFilter) -> Vec<We
     rows
 }
 
+/// The weights of one axis as a tap table with the edge clamp folded in.
+fn resize_taps(src_len: usize, dst_len: usize, filter: ResizeFilter) -> Taps {
+    let rows = build_weights(src_len, dst_len, filter);
+    let mut taps = Taps::with_capacity(dst_len, rows.first().map_or(0, |r| r.weights.len()));
+    for row in &rows {
+        for (k, &w) in row.weights.iter().enumerate() {
+            taps.push(row.start + k as isize, src_len, w);
+        }
+        taps.finish_output();
+    }
+    taps
+}
+
 /// Resize with the given filter (separable, horizontal then vertical).
 pub fn resize(img: &ImageF32, new_w: usize, new_h: usize, filter: ResizeFilter) -> ImageF32 {
     assert!(new_w > 0 && new_h > 0, "zero target dimension");
     if new_w == img.width && new_h == img.height {
         return img.clone();
     }
-    // Horizontal pass.
-    let wrows = build_weights(img.width, new_w, filter);
-    let mut tmp = ImageF32::new(new_w, img.height);
-    for y in 0..img.height {
-        for (x, row) in wrows.iter().enumerate() {
-            let mut acc = 0.0f32;
-            for (k, &w) in row.weights.iter().enumerate() {
-                acc += w * img.get_clamped(row.start + k as isize, y as isize);
-            }
-            tmp.set(x, y, acc);
+    let mut rows = RowResize::new(img.width, img.height, new_w, new_h, filter);
+    rows.push_rows(&img.data);
+    rows.finish()
+}
+
+/// A [`resize`] fed source rows as they are produced.
+///
+/// The horizontal pass runs on the rows as they arrive and
+/// [`RowResize::finish`] runs the vertical pass, so a caller that
+/// produces rows on the fly never holds a full-size source plane.
+/// [`resize`] is this type fed one whole image.
+pub struct RowResize {
+    pass: PassH,
+    taps_v: Taps,
+}
+
+impl RowResize {
+    /// Resize a `src_w × src_h` plane to `new_w × new_h`.
+    pub fn new(
+        src_w: usize,
+        src_h: usize,
+        new_w: usize,
+        new_h: usize,
+        filter: ResizeFilter,
+    ) -> Self {
+        assert!(new_w > 0 && new_h > 0, "zero target dimension");
+        RowResize {
+            pass: PassH::new(resize_taps(src_w, new_w, filter), src_w, src_h),
+            taps_v: resize_taps(src_h, new_h, filter),
         }
     }
-    // Vertical pass.
-    let hrows = build_weights(img.height, new_h, filter);
-    let mut out = ImageF32::new(new_w, new_h);
-    for (y, row) in hrows.iter().enumerate() {
-        for x in 0..new_w {
-            let mut acc = 0.0f32;
-            for (k, &w) in row.weights.iter().enumerate() {
-                acc += w * tmp.get_clamped(x as isize, row.start + k as isize);
-            }
-            out.set(x, y, acc);
-        }
+
+    /// Feed the next whole source rows, top to bottom.
+    pub fn push_rows(&mut self, rows: &[f32]) {
+        self.pass.push_rows(rows);
     }
-    out
+
+    /// Run the vertical pass once every source row has been fed.
+    pub fn finish(self) -> ImageF32 {
+        pass_v(&self.pass.finish(), &self.taps_v)
+    }
 }
 
 /// Resize preserving aspect ratio so the longer side becomes `max_side`
@@ -207,13 +242,12 @@ pub fn crop(img: &ImageF32, x0: usize, y0: usize, w: usize, h: usize) -> ImageF3
     let y0 = y0.min(img.height.saturating_sub(1));
     let w = w.min(img.width - x0).max(1);
     let h = h.min(img.height - y0).max(1);
-    let mut out = ImageF32::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            out.set(x, y, img.get(x0 + x, y0 + y));
-        }
+    let mut data = Vec::with_capacity(w * h);
+    for y in y0..y0 + h {
+        let row = y * img.width + x0;
+        data.extend_from_slice(&img.data[row..row + w]);
     }
-    out
+    ImageF32 { width: w, height: h, data }
 }
 
 /// Unsharp-mask sharpening: `out = img + amount * (img - blur(img))`.
@@ -222,10 +256,9 @@ pub fn sharpen(img: &ImageF32, sigma: f32, amount: f32) -> ImageF32 {
     if amount == 0.0 {
         return img.clone();
     }
-    let blurred = crate::filter::gaussian_blur(img, sigma);
-    let mut out = ImageF32::new(img.width, img.height);
-    for i in 0..img.data.len() {
-        out.data[i] = img.data[i] + amount * (img.data[i] - blurred.data[i]);
+    let mut out = crate::filter::gaussian_blur(img, sigma);
+    for (o, &v) in out.data.iter_mut().zip(&img.data) {
+        *o = v + amount * (v - *o);
     }
     out
 }
